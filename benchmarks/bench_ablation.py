@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import experiments
 from repro.compiler.pipeline import LinQCompiler
-from repro.exec import JobSpec, execute_spec
+from repro.exec import JobSpec, clear_stage_memos, execute_spec
 from repro.workloads.suite import build_workload
 
 ABLATION_WORKLOAD = "QFT"
@@ -33,6 +33,7 @@ def test_mapper_ablation(benchmark, mapper, scale):
     """Compile QFT with each initial-mapping heuristic."""
     spec = _compile_job(scale, mapper=mapper)
     result = benchmark.pedantic(execute_spec, args=(spec,),
+                                setup=clear_stage_memos,
                                 iterations=1, rounds=1)
     benchmark.extra_info["num_swaps"] = result.stats.num_swaps
     benchmark.extra_info["num_moves"] = result.stats.num_moves
@@ -43,6 +44,7 @@ def test_lookahead_ablation(benchmark, lookahead, scale):
     """Compile QFT with increasingly deep Eq. 1 lookahead windows."""
     spec = _compile_job(scale, lookahead_window=lookahead)
     result = benchmark.pedantic(execute_spec, args=(spec,),
+                                setup=clear_stage_memos,
                                 iterations=1, rounds=1)
     benchmark.extra_info["num_swaps"] = result.stats.num_swaps
     benchmark.extra_info["opposing_ratio"] = result.stats.opposing_swap_ratio
@@ -53,6 +55,7 @@ def test_alpha_ablation(benchmark, alpha, scale):
     """Compile QFT with different Eq. 1 discount factors."""
     spec = _compile_job(scale, alpha=alpha)
     result = benchmark.pedantic(execute_spec, args=(spec,),
+                                setup=clear_stage_memos,
                                 iterations=1, rounds=1)
     benchmark.extra_info["num_swaps"] = result.stats.num_swaps
 

@@ -21,6 +21,7 @@ from repro.workloads.suite import build_workload
 
 
 def test_native_decomposition(benchmark, scale):
+    # the unmemoised passes, so the layer is timed rather than a memo hit
     circuit = build_workload("QFT", scale)
     native = benchmark(lambda: merge_adjacent_rotations(
         decompose_to_native(circuit)))

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import experiments
 from repro.analysis.report import figure6_report
-from repro.exec import JobSpec, execute_spec
+from repro.exec import JobSpec, clear_stage_memos, execute_spec
 from repro.workloads.suite import build_workload, routing_suite
 
 ROUTING_WORKLOADS = [spec.name for spec in routing_suite()]
@@ -29,6 +29,7 @@ def test_swap_insertion(benchmark, name, router, scale, noise):
     spec = JobSpec(circuit=circuit, device=device, config=config, noise=noise)
 
     result = benchmark.pedantic(execute_spec, args=(spec,),
+                                setup=clear_stage_memos,
                                 iterations=1, rounds=1)
     benchmark.extra_info["num_swaps"] = result.stats.num_swaps
     benchmark.extra_info["opposing_ratio"] = result.stats.opposing_swap_ratio

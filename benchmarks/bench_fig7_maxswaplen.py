@@ -16,7 +16,7 @@ import pytest
 from repro.analysis import experiments
 from repro.analysis.report import figure7_report
 from repro.core.sweep import default_max_swap_lengths
-from repro.exec import ExecutionEngine
+from repro.exec import ExecutionEngine, clear_stage_memos
 from repro.search import GridStrategy, SearchSpace, config_knob, run_search
 from repro.workloads.suite import build_workload, routing_suite
 
@@ -45,7 +45,8 @@ def test_max_swap_len_search(benchmark, name, scale):
         return run_search(space, GridStrategy(),
                           engine=ExecutionEngine(workers=1))
 
-    result = benchmark.pedantic(cold_search, iterations=1, rounds=1)
+    result = benchmark.pedantic(cold_search, setup=clear_stage_memos,
+                                iterations=1, rounds=1)
     rows = [row for row in experiments.figure7(scale) if row.workload == name]
     # the declarative search subsumes the ad-hoc loop: point for point
     assert [

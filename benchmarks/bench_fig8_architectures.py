@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis import experiments
 from repro.analysis.report import figure8_report
+from repro.exec import clear_stage_memos
 from repro.workloads.suite import standard_suite
 
 WORKLOADS = [spec.name for spec in standard_suite()]
@@ -28,7 +29,8 @@ def test_architecture_comparison(benchmark, name, scale, noise):
         return experiments.figure8(scale, workloads=(name,),
                                    noise_params=noise)[0]
 
-    comparison = benchmark.pedantic(run, iterations=1, rounds=1)
+    comparison = benchmark.pedantic(run, setup=clear_stage_memos,
+                                    iterations=1, rounds=1)
     for architecture, result in comparison.results.items():
         benchmark.extra_info[architecture] = result.log10_success_rate
     assert set(comparison.results) >= {"Ideal TI", "QCCD"}

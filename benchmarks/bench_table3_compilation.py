@@ -83,7 +83,7 @@ def test_full_pipeline_compile(benchmark, scale):
 def test_engine_batch_compile(benchmark, scale, noise):
     """The same Table III jobs submitted as one engine batch."""
     from repro.analysis.experiments import head_sizes_for
-    from repro.exec import ExecutionEngine, JobSpec
+    from repro.exec import ExecutionEngine, JobSpec, clear_stage_memos
 
     specs = []
     for name in WORKLOADS:
@@ -94,6 +94,7 @@ def test_engine_batch_compile(benchmark, scale, noise):
 
     engine = ExecutionEngine(workers=1)
     results = benchmark.pedantic(engine.run, args=(specs,),
+                                 setup=clear_stage_memos,
                                  iterations=1, rounds=1)
     assert len(results) == len(specs)
     benchmark.extra_info["engine"] = engine.stats.summary()

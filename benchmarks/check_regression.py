@@ -30,12 +30,17 @@ tracked hot paths are the ones the ROADMAP's perf work landed on:
 
 CI machines are not the machine the baseline was recorded on, so raw
 medians are not comparable run to run.  The gate therefore normalises:
-the per-benchmark ratio ``current / baseline`` is divided by the *median
-ratio across every benchmark shared by both files* — an estimate of how
-much slower/faster this machine is overall.  A uniformly slow runner
-moves every ratio together and passes; a regression in one hot path
-sticks out against the fleet and fails.  ``--no-normalize`` compares raw
-medians for same-machine A/B runs.
+the per-benchmark ratio ``current / baseline`` is divided by the ratio
+of a fixed *calibration kernel* timed in the same session
+(``calibration.py``: a pure-Python + numpy loop that imports no
+``repro`` code, timed at the start of every benchmark module; the
+session median is one entry of the JSON) — an estimate of how much
+slower/faster this machine is.  A uniformly slow runner moves the kernel
+with everything else and passes; a slowdown of the program, even a uniform one across every
+benchmark, does not move the kernel and fails; a speedup of some
+benchmarks leaves the verdict on the others unchanged.  A run or
+baseline without the kernel fails the gate.  ``--no-normalize``
+compares raw medians for same-machine A/B runs.
 
 Intentional re-baselining (an accepted trade-off, a new benchmark set):
 
@@ -55,7 +60,6 @@ import json
 import os
 import platform
 import re
-import statistics
 import sys
 
 #: (group, fullname regex) — the gated hot paths.
@@ -83,6 +87,9 @@ TRACKED_PATTERNS: tuple[tuple[str, str], ...] = (
     ("obs_overhead",
      r"bench_obs\.py::test_profiled_engine_batch"),
 )
+
+#: The machine-speed calibration kernel every ratio is divided by.
+CALIBRATION_PATTERN = r"calibration\.py::calibration_kernel$"
 
 #: Fail when a tracked (normalised) slowdown exceeds this factor.
 DEFAULT_THRESHOLD = 1.25
@@ -143,9 +150,9 @@ def write_baseline(medians: dict[str, float], path: str, source: str,
                    threshold: float = DEFAULT_THRESHOLD) -> None:
     """Record *medians* as the new committed baseline.
 
-    Every benchmark's median is stored (not just the tracked ones) so
-    the machine-speed normaliser has a wide sample and newly tracked
-    paths gate without a re-baseline.  The recording interpreter's
+    Every benchmark's median is stored (not just the tracked ones and
+    the calibration kernel) so newly tracked paths gate without a
+    re-baseline.  The recording interpreter's
     version is stored too: the CI gate is pinned to the baseline's
     Python (interpreter speedups are not uniform across code paths), so
     a re-baseline under a different version must be visible.
@@ -163,6 +170,22 @@ def write_baseline(medians: dict[str, float], path: str, source: str,
         handle.write("\n")
 
 
+def _ratios(current: dict[str, float], baseline: dict[str, float]
+            ) -> dict[str, float]:
+    """``current / baseline`` for every benchmark shared by both runs."""
+    return {name: current[name] / baseline[name]
+            for name in sorted(set(current) & set(baseline))
+            if baseline[name] > 0}
+
+
+def machine_scale(ratios: dict[str, float]) -> float | None:
+    """The calibration kernel's ratio, or ``None`` if it is absent."""
+    for name, ratio in ratios.items():
+        if re.search(CALIBRATION_PATTERN, name):
+            return ratio
+    return None
+
+
 def check(current: dict[str, float], baseline: dict[str, float], *,
           threshold: float = DEFAULT_THRESHOLD,
           normalize: bool = True) -> tuple[bool, list[str]]:
@@ -172,12 +195,19 @@ def check(current: dict[str, float], baseline: dict[str, float], *,
     if not shared:
         return False, ["no benchmarks shared with the baseline — "
                        "re-baseline with --update-baseline"]
-    ratios = {name: current[name] / baseline[name] for name in shared
-              if baseline[name] > 0}
-    scale = statistics.median(ratios.values()) if normalize else 1.0
+    ratios = _ratios(current, baseline)
+    scale = machine_scale(ratios) if normalize else 1.0
+    if scale is None:
+        return False, [
+            "calibration kernel (calibration.py::calibration_kernel) "
+            "missing from the run or the baseline — produce the run with "
+            "the benchmark harness (benchmarks/conftest.py records it), "
+            "or re-baseline with --update-baseline"
+        ]
     lines.append(
         f"{len(shared)} shared benchmarks; machine-speed normaliser "
-        f"{scale:.3f} ({'median current/baseline ratio' if normalize else 'disabled'})"
+        f"{scale:.3f} ("
+        f"{'calibration kernel current/baseline ratio' if normalize else 'disabled'})"
     )
     ok = True
     seen_groups: set[str] = set()
@@ -223,12 +253,10 @@ def check(current: dict[str, float], baseline: dict[str, float], *,
 def _tracked_ratios(current: dict[str, float], baseline: dict[str, float],
                     *, normalize: bool = True) -> dict[str, float]:
     """Machine-normalised ``tracked fullname -> ratio`` (mirrors check)."""
-    shared = sorted(set(current) & set(baseline))
-    ratios = {name: current[name] / baseline[name] for name in shared
-              if baseline[name] > 0}
-    if not ratios:
+    ratios = _ratios(current, baseline)
+    scale = machine_scale(ratios) if normalize else 1.0
+    if scale is None:
         return {}
-    scale = statistics.median(ratios.values()) if normalize else 1.0
     return {name: ratios[name] / scale for name in ratios
             if tracked_group(name) is not None}
 

@@ -59,7 +59,7 @@ TWO_QUBIT_GATE_NAMES = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """An operation applied to specific qubits.
 
@@ -79,27 +79,32 @@ class Gate:
     params: tuple[float, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.name not in GATE_SPECS:
-            raise CircuitError(f"unknown gate name: {self.name!r}")
-        expected_qubits, expected_params = GATE_SPECS[self.name]
-        qubits = tuple(int(q) for q in self.qubits)
-        params = tuple(float(p) for p in self.params)
+        name = self.name
+        spec = GATE_SPECS.get(name)
+        if spec is None:
+            raise CircuitError(f"unknown gate name: {name!r}")
+        expected_qubits, expected_params = spec
+        qubits = tuple(map(int, self.qubits))
+        params = tuple(map(float, self.params))
         object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "params", params)
-        if expected_qubits >= 0 and len(qubits) != expected_qubits:
+        num_qubits = len(qubits)
+        if expected_qubits >= 0 and num_qubits != expected_qubits:
             raise CircuitError(
-                f"gate {self.name!r} expects {expected_qubits} qubits, "
-                f"got {len(qubits)}"
+                f"gate {name!r} expects {expected_qubits} qubits, "
+                f"got {num_qubits}"
             )
-        if self.name == "barrier" and not qubits:
+        if not qubits:
+            # only a barrier gets here: every other gate expects >= 1
             raise CircuitError("barrier needs at least one qubit")
-        if len(set(qubits)) != len(qubits):
-            raise CircuitError(f"gate {self.name!r} has duplicate qubits {qubits}")
-        if any(q < 0 for q in qubits):
-            raise CircuitError(f"gate {self.name!r} has negative qubit index")
+        # a single qubit cannot repeat, so the set is built for 2+ only
+        if num_qubits > 1 and len(set(qubits)) != num_qubits:
+            raise CircuitError(f"gate {name!r} has duplicate qubits {qubits}")
+        if min(qubits) < 0:
+            raise CircuitError(f"gate {name!r} has negative qubit index")
         if len(params) != expected_params:
             raise CircuitError(
-                f"gate {self.name!r} expects {expected_params} params, "
+                f"gate {name!r} expects {expected_params} params, "
                 f"got {len(params)}"
             )
 

@@ -3,6 +3,7 @@
 from repro.compiler.decompose import (
     decompose_to_cx,
     decompose_to_native,
+    lower_to_native,
     merge_adjacent_rotations,
 )
 from repro.compiler.executable import ExecutableProgram, TapeSegment
@@ -66,6 +67,7 @@ __all__ = [
     "decompose_to_native",
     "extend_mapping",
     "interaction_matrix",
+    "lower_to_native",
     "make_mapper",
     "merge_adjacent_rotations",
     "schedule_tape_moves",

@@ -11,14 +11,19 @@ Two levels are provided:
   the paper's listing because of the rotation-sign convention used here
   (``r*(theta) = exp(-i theta P / 2)``, ``xx(theta) = exp(+i theta XX)``) —
   the decomposition is verified against the exact CX unitary in the tests.
+
+:func:`lower_to_native` is the entry point the compilers and simulators
+use: barrier stripping, :func:`decompose_to_native` and the optional
+rotation merge in one call, memoised per process (see its docstring).
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Iterator
 
-from repro.circuits.circuit import Circuit
+from repro.circuits.circuit import Circuit, circuit_from_gates
 from repro.circuits.gate import Gate
 from repro.exceptions import CompilationError
 
@@ -178,6 +183,44 @@ def decompose_to_native(circuit: Circuit) -> Circuit:
         else:  # pragma: no cover - defensive
             raise CompilationError(f"unexpected gate {gate.name!r} after CX pass")
     return out
+
+
+def lower_to_native(circuit: Circuit, *, strip_barriers: bool = True,
+                    merge_rotations: bool = True) -> Circuit:
+    """Lower *circuit* to the native gate set, the way every backend does.
+
+    Optionally drops barriers, runs :func:`decompose_to_native`, then
+    optionally :func:`merge_adjacent_rotations`.  The result is memoised
+    per process with a single entry, compared by content: qubit count,
+    name, gates and both flags.  Drivers submit every job of one circuit
+    back to back, so that one entry catches the repeats.  Each call
+    returns a fresh :class:`Circuit`, so a caller mutating its copy never
+    changes what the next call returns.
+    """
+    cached = _lowered_native(circuit.num_qubits, circuit.name, circuit.gates,
+                             strip_barriers, merge_rotations)
+    return cached.copy()
+
+
+@lru_cache(maxsize=1)
+def _lowered_native(num_qubits: int, name: str, gates: tuple[Gate, ...],
+                    strip_barriers: bool, merge_rotations: bool) -> Circuit:
+    # Only misses get here: drop the old entry before building the new
+    # one, so the two are never alive at once (lru_cache re-checks its
+    # table after the call and stores this result).
+    _lowered_native.cache_clear()
+    working = circuit_from_gates(num_qubits, gates, name)
+    if strip_barriers:
+        working = working.without(["barrier"])
+    native = decompose_to_native(working)
+    if merge_rotations:
+        native = merge_adjacent_rotations(native)
+    return native
+
+
+def clear_native_memo() -> None:
+    """Forget the memoised :func:`lower_to_native` result."""
+    _lowered_native.cache_clear()
 
 
 def merge_adjacent_rotations(circuit: Circuit, *,

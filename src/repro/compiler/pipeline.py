@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit
-from repro.compiler.decompose import decompose_to_native, merge_adjacent_rotations
+from repro.compiler.decompose import lower_to_native
 from repro.compiler.executable import ExecutableProgram
 from repro.compiler.layout import QubitMapping
 from repro.compiler.mapping import make_mapper
@@ -180,13 +180,11 @@ class LinQCompiler:
     # Individual passes
     # ------------------------------------------------------------------
     def _decompose(self, circuit: Circuit) -> Circuit:
-        working = circuit
-        if self.config.strip_barriers:
-            working = working.without(["barrier"])
-        native = decompose_to_native(working)
-        if self.config.merge_rotations:
-            native = merge_adjacent_rotations(native)
-        return native
+        return lower_to_native(
+            circuit,
+            strip_barriers=self.config.strip_barriers,
+            merge_rotations=self.config.merge_rotations,
+        )
 
     def _initial_mapping(self, native: Circuit) -> QubitMapping:
         mapper = make_mapper(self.config.mapper)

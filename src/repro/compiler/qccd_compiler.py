@@ -21,7 +21,7 @@ from typing import Iterable
 from repro.arch.qccd import QccdDevice
 from repro.circuits.circuit import Circuit
 from repro.circuits.gate import Gate
-from repro.compiler.decompose import decompose_to_native, merge_adjacent_rotations
+from repro.compiler.decompose import lower_to_native
 from repro.exceptions import CompilationError
 
 
@@ -120,9 +120,7 @@ class QccdCompiler:
                 f"circuit needs {circuit.num_qubits} qubits but the device "
                 f"has {self.device.num_qubits}"
             )
-        native = decompose_to_native(circuit.without(["barrier"]))
-        if self.merge_rotations:
-            native = merge_adjacent_rotations(native)
+        native = lower_to_native(circuit, merge_rotations=self.merge_rotations)
 
         traps = self.device.initial_layout()
         trap_of = {q: t for t, chain in enumerate(traps) for q in chain}

@@ -203,7 +203,13 @@ def canonical_call_name(node: ast.Call,
     ``numpy.random.default_rng``.  Calls on computed expressions (method
     calls on locals, subscripted lookups) return ``None``.
     """
-    name = dotted_name(node.func)
+    return canonical_name(node.func, aliases)
+
+
+def canonical_name(node: ast.AST, aliases: dict[str, str]) -> str | None:
+    """The fully-qualified dotted name a Name/Attribute chain resolves
+    to through *aliases*, or ``None`` for any other expression."""
+    name = dotted_name(node)
     if name is None:
         return None
     head, _, tail = name.partition(".")

@@ -30,6 +30,13 @@ mutable container (dict/list/set literal or comprehension, or a
 
 Names rebound locally without a ``global`` declaration are locals and
 are skipped.
+
+A ``functools.lru_cache`` / ``functools.cache`` decorator on a
+worker-reachable function is the same hazard in disguise: the cache is
+module-level state that every worker fills on its own.  Such memos are
+flagged unless listed in :data:`SANCTIONED_MEMOS`, the per-process
+memos whose value is a pure function of their (content-compared)
+arguments.
 """
 
 from __future__ import annotations
@@ -37,7 +44,12 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.devtools.core import Violation, dotted_name
+from repro.devtools.core import (
+    Violation,
+    canonical_name,
+    dotted_name,
+    import_aliases,
+)
 from repro.devtools.graph import (
     MODULE_BODY,
     FunctionInfo,
@@ -75,6 +87,33 @@ SANCTIONED_GLOBAL_WRITES = frozenset({
     ("repro.obs.trace", "_WORKER_RECORDERS"),
     ("repro.obs.profile", "_MODE_CACHE"),
 })
+
+
+#: Decorators that attach a module-level cache to a function.
+MEMO_DECORATORS = frozenset({"functools.lru_cache", "functools.cache"})
+
+#: (module, function) memos sanctioned in worker-reachable code: pure
+#: functions of their arguments, compared by content, so a worker that
+#: fills its own copy computes exactly what the parent would.  The
+#: statevector distribution memo, the native-lowering stage memo and
+#: the LinQ / QCCD compile stage memos.
+SANCTIONED_MEMOS = frozenset({
+    ("repro.sim.stochastic", "_ideal_cumulative"),
+    ("repro.compiler.decompose", "_lowered_native"),
+    ("repro.exec.backends", "_linq_memo"),
+    ("repro.exec.backends", "_qccd_memo"),
+})
+
+
+def _memo_decorator(fn: FunctionInfo, aliases: dict[str, str]) -> str | None:
+    """The canonical memo decorator on *fn*, if it has one."""
+    for decorator in getattr(fn.node, "decorator_list", ()):
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        canonical = canonical_name(decorator, aliases)
+        if canonical in MEMO_DECORATORS:
+            return canonical
+    return None
 
 
 def _is_mutable_initialiser(value: ast.expr) -> bool:
@@ -140,11 +179,26 @@ class SharedStateRule(GraphRule):
             name: _mutable_globals(module)
             for name, module in project.modules.items()
         }
+        aliases: dict[str, dict[str, str]] = {}
         for function_id in sorted(project.worker_reachable):
             fn = project.functions[function_id]
             if fn.qualname == MODULE_BODY:
                 continue
             module = project.modules[fn.module]
+            if fn.module not in aliases:
+                aliases[fn.module] = import_aliases(module.ctx.tree)
+            decorator = _memo_decorator(fn, aliases[fn.module])
+            if (decorator is not None
+                    and (fn.module, fn.qualname) not in SANCTIONED_MEMOS):
+                yield self.violation(
+                    module.ctx, fn.node,
+                    f"worker-reachable function {fn.qualname}() is "
+                    f"memoised with {decorator}: the cache is "
+                    f"module-level state each worker process fills on "
+                    f"its own; pass the value explicitly, or make it a "
+                    f"sanctioned channel in SANCTIONED_MEMOS with a "
+                    f"corpus pin",
+                )
             yield from self._check_function(module, fn, mutable)
 
     def _check_function(

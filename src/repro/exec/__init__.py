@@ -38,6 +38,7 @@ from repro.exec.backends import (
     Backend,
     ProcessPoolBackend,
     SerialBackend,
+    clear_stage_memos,
     resolve_backend,
 )
 from repro.exec.cache import ResultCache
@@ -72,6 +73,7 @@ __all__ = [
     "RunManifest",
     "RunStore",
     "SerialBackend",
+    "clear_stage_memos",
     "collect_provenance",
     "default_engine",
     "execute_spec",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.circuits.gate import Gate
 from repro.exceptions import SimulationError
-from repro.noise.gate_times import XX_GATES_PER_SWAP, gate_time_us
+from repro.noise.gate_times import XX_GATES_PER_SWAP, two_qubit_gate_time_us
 from repro.noise.parameters import NoiseParameters
 
 
@@ -74,9 +74,7 @@ def gate_fidelity(gate: Gate, motional_quanta: float,
         return one_qubit_fidelity(params)
     if gate.num_qubits == 2:
         single = two_qubit_fidelity(
-            gate_time_us(Gate("xx", gate.qubits, (0.0,)), params),
-            motional_quanta,
-            params,
+            two_qubit_gate_time_us(gate.span, params), motional_quanta, params,
         )
         if gate.name == "swap":
             return single**XX_GATES_PER_SWAP

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.arch.ideal import IdealTrappedIonDevice
 from repro.circuits.circuit import Circuit
-from repro.compiler.decompose import decompose_to_native, merge_adjacent_rotations
+from repro.compiler.decompose import lower_to_native
 from repro.exceptions import SimulationError
 from repro.noise.channels import error_site_for_gate
 from repro.noise.fidelity import SuccessRateAccumulator, gate_fidelity
@@ -48,9 +48,7 @@ class IdealSimulator:
                 f"circuit needs {circuit.num_qubits} qubits but the device "
                 f"has {self.device.num_qubits}"
             )
-        return circuit if already_native else merge_adjacent_rotations(
-            decompose_to_native(circuit.without(["barrier"]))
-        )
+        return circuit if already_native else lower_to_native(circuit)
 
     def run(self, circuit: Circuit, *,
             already_native: bool = False,

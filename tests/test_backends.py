@@ -8,7 +8,8 @@ import pytest
 from repro.arch.ideal import IdealTrappedIonDevice
 from repro.arch.qccd import QccdDevice
 from repro.arch.tilt import TiltDevice
-from repro.compiler.pipeline import CompilerConfig
+from repro.compiler.pipeline import CompilerConfig, LinQCompiler
+from repro.compiler.qccd_compiler import QccdCompiler
 from repro.exceptions import ReproError
 from repro.exec import (
     AsyncLocalBackend,
@@ -16,6 +17,8 @@ from repro.exec import (
     JobSpec,
     ProcessPoolBackend,
     SerialBackend,
+    clear_stage_memos,
+    execute_spec,
     resolve_backend,
     run_sampled_job,
     spec_key,
@@ -130,6 +133,145 @@ class TestBackendInvariance:
         assert [r.simulation for r in override] == [
             r.simulation for r in serial
         ]
+
+
+def _memo_heavy_batch() -> list[JobSpec]:
+    """Distinct specs that share compiles: noise, scenario and shot-range
+    variants of one TILT and one QCCD program, then an ideal job on the
+    same circuit (whose native lowering the QCCD compile just did)."""
+    circuit = qft_workload(8)
+    tilt = TiltDevice(num_qubits=8, head_size=4)
+    qccd = QccdDevice(num_qubits=8, trap_capacity=4)
+    noise = NoiseParameters.paper_defaults()
+    hot = noise.with_overrides(residual_gate_error=2e-4)
+    specs = [
+        JobSpec(circuit=circuit, device=tilt, noise=noise, label="tilt"),
+        JobSpec(circuit=circuit, device=tilt, noise=hot, label="tilt-hot"),
+        JobSpec(circuit=circuit, device=tilt, noise=noise,
+                scenario="crosstalk", label="tilt-xt"),
+    ]
+    specs.extend(
+        JobSpec(circuit=circuit, device=tilt, noise=noise, shots=64,
+                seed=5, shot_offset=offset, label=f"tilt-shots-{offset}")
+        for offset in (0, 64)
+    )
+    specs.extend([
+        JobSpec(circuit=circuit, device=qccd, backend="qccd", noise=noise,
+                label="qccd"),
+        JobSpec(circuit=circuit, device=qccd, backend="qccd", noise=hot,
+                scenario="heating_burst", label="qccd-burst"),
+        JobSpec(circuit=circuit, device=IdealTrappedIonDevice(num_qubits=8),
+                backend="ideal", noise=noise, shots=64, seed=5,
+                label="ideal-shots"),
+    ])
+    return specs
+
+
+class TestStageMemos:
+    """One-entry compile memos: hits are indistinguishable from cold
+    compiles, and they hit exactly when the content matches."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memos(self):
+        clear_stage_memos()
+        yield
+        clear_stage_memos()
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """Count LinQ and QCCD compiles by toolchain."""
+        counts = {"linq": 0, "qccd": 0}
+        linq, qccd = LinQCompiler.compile, QccdCompiler.compile
+
+        def count_linq(self, *args, **kwargs):
+            counts["linq"] += 1
+            return linq(self, *args, **kwargs)
+
+        def count_qccd(self, *args, **kwargs):
+            counts["qccd"] += 1
+            return qccd(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinQCompiler, "compile", count_linq)
+        monkeypatch.setattr(QccdCompiler, "compile", count_qccd)
+        return counts
+
+    def test_memo_hits_equal_cold_compiles(self, compiles):
+        specs = _memo_heavy_batch()
+        cold = []
+        for spec in specs:
+            clear_stage_memos()
+            cold.append(_structural(execute_spec(spec)))
+        clear_stage_memos()
+        compiles.update(linq=0, qccd=0)
+        warm = [_structural(execute_spec(spec)) for spec in specs]
+        assert warm == cold
+        assert compiles == {"linq": 1, "qccd": 1}
+
+    def test_memo_heavy_batch_bit_identical_across_backends(self):
+        specs = _memo_heavy_batch()
+        reference = [_structural(r) for r in
+                     ExecutionEngine(workers=1).run(specs)]
+        for name in ("process", "async"):
+            # memos stay warm from the previous backend's run on purpose
+            results = ExecutionEngine(workers=2, backend=name).run(specs)
+            assert [_structural(r) for r in results] == reference, name
+
+    def test_hit_carries_first_compile_stats(self):
+        spec = _memo_heavy_batch()[0]
+        first = execute_spec(spec)
+        again = execute_spec(dataclasses.replace(spec, label="again"))
+        assert again.stats is first.stats
+
+    def test_sharded_sampled_job_compiles_once(self, compiles):
+        spec = JobSpec(
+            circuit=qft_workload(8),
+            device=TiltDevice(num_qubits=8, head_size=4),
+            noise=NoiseParameters.paper_defaults(), shots=400, seed=3,
+        )
+        result = run_sampled_job(spec, shards=4,
+                                 engine=ExecutionEngine(workers=1))
+        assert result.shot.shots == 400
+        assert compiles["linq"] == 1
+
+    def test_equal_content_and_effective_config_hit(self, compiles):
+        circuit = bv_workload(8)
+        device = TiltDevice(num_qubits=8, head_size=4)
+        execute_spec(JobSpec(circuit=circuit, device=device))
+        # a distinct but equal circuit, an equal device and an explicit
+        # default config are the same compile
+        execute_spec(JobSpec(circuit=bv_workload(8),
+                             device=TiltDevice(num_qubits=8, head_size=4),
+                             config=CompilerConfig()))
+        assert compiles["linq"] == 1
+
+    @pytest.mark.parametrize("change", ["name", "gates", "device", "config",
+                                        "flag"])
+    def test_different_content_misses(self, compiles, change):
+        circuit = bv_workload(8)
+        device = TiltDevice(num_qubits=8, head_size=4)
+        execute_spec(JobSpec(circuit=circuit, device=device))
+        config = None
+        if change == "name":
+            circuit = circuit.copy(name="renamed")
+        elif change == "gates":
+            circuit = circuit.copy().x(0)
+        elif change == "device":
+            device = TiltDevice(num_qubits=8, head_size=5)
+        elif change == "config":
+            config = CompilerConfig(max_swap_len=2)
+        else:
+            config = CompilerConfig(merge_rotations=False)
+        execute_spec(JobSpec(circuit=circuit, device=device, config=config))
+        assert compiles["linq"] == 2
+
+    def test_qccd_memo_keyed_on_device(self, compiles):
+        circuit = qft_workload(8)
+        for capacity in (4, 4, 5, 5):
+            execute_spec(JobSpec(
+                circuit=circuit, backend="qccd",
+                device=QccdDevice(num_qubits=8, trap_capacity=capacity),
+            ))
+        assert compiles["qccd"] == 2
 
 
 class TestBackendSelection:

@@ -8,9 +8,12 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.gate import NATIVE_GATE_NAMES, Gate
 from repro.circuits.random import random_circuit
 from repro.circuits.unitary import allclose_up_to_global_phase, circuit_unitary
+from repro.compiler import decompose
 from repro.compiler.decompose import (
+    clear_native_memo,
     decompose_to_cx,
     decompose_to_native,
+    lower_to_native,
     merge_adjacent_rotations,
 )
 
@@ -133,3 +136,77 @@ class TestRotationMerging:
         merged = merge_adjacent_rotations(native)
         assert len(merged) < len(native)
         assert_equivalent(native, merged)
+
+
+class TestLowerToNative:
+    """The one native-lowering entry point and its one-entry memo."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count the decompositions the memo lets through."""
+        clear_native_memo()
+        seen = []
+
+        def counting(circuit):
+            seen.append(circuit)
+            return decompose_to_native(circuit)
+
+        monkeypatch.setattr(decompose, "decompose_to_native", counting)
+        yield seen
+        clear_native_memo()
+
+    @staticmethod
+    def _circuit(name="demo"):
+        circuit = Circuit(3, name)
+        circuit.h(0).cx(0, 1).barrier(0, 1, 2).rz(0.3, 2).rz(0.4, 2)
+        return circuit.cp(0.5, 1, 2).measure_all()
+
+    @pytest.mark.parametrize("strip", [True, False])
+    @pytest.mark.parametrize("merge", [True, False])
+    def test_matches_the_pass_sequence(self, calls, strip, merge):
+        circuit = self._circuit()
+        expected = circuit.without(["barrier"]) if strip else circuit
+        expected = decompose_to_native(expected)
+        if merge:
+            expected = merge_adjacent_rotations(expected)
+        lowered = lower_to_native(circuit, strip_barriers=strip,
+                                  merge_rotations=merge)
+        assert lowered.gates == expected.gates
+        assert lowered.name == expected.name == "demo_native"
+        assert lowered.num_qubits == 3
+
+    def test_mutating_the_result_does_not_leak(self, calls):
+        circuit = self._circuit()
+        first = lower_to_native(circuit)
+        reference = first.gates
+        first.x(0).h(1)
+        second = lower_to_native(circuit)
+        assert second is not first
+        assert second.gates == reference
+        assert len(calls) == 1
+
+    def test_equal_content_hits(self, calls):
+        lower_to_native(self._circuit())
+        lower_to_native(self._circuit())
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("change", ["name", "gates", "strip", "merge",
+                                        "width"])
+    def test_different_content_misses(self, calls, change):
+        lower_to_native(self._circuit())
+        circuit = self._circuit()
+        flags = {}
+        if change == "name":
+            circuit = self._circuit("other")
+        elif change == "gates":
+            circuit.x(1)
+        elif change == "strip":
+            flags["strip_barriers"] = False
+        elif change == "merge":
+            flags["merge_rotations"] = False
+        else:
+            circuit = Circuit(4, "demo").compose(circuit)
+        lowered = lower_to_native(circuit, **flags)
+        assert len(calls) == 2
+        if change == "name":
+            assert lowered.name == "other_native"

@@ -130,3 +130,64 @@ class TestInverse:
     def test_inverse_is_involution_for_rotations(self):
         g = Gate("xx", (0, 1), (0.3,))
         assert g.inverse().inverse() == g
+
+
+class TestValidationContract:
+    """The validated constructor keeps every check and every message."""
+
+    @pytest.mark.parametrize("args,message", [
+        (("foo", (0,)), "unknown gate name: 'foo'"),
+        (("cx", (0,)), "gate 'cx' expects 2 qubits, got 1"),
+        (("cx", (0, 1, 2)), "gate 'cx' expects 2 qubits, got 3"),
+        (("barrier", ()), "barrier needs at least one qubit"),
+        (("cx", (1, 1)), "gate 'cx' has duplicate qubits (1, 1)"),
+        (("barrier", (0, 0)), "gate 'barrier' has duplicate qubits (0, 0)"),
+        (("cx", (-1, -1)), "gate 'cx' has duplicate qubits (-1, -1)"),
+        (("x", (-1,)), "gate 'x' has negative qubit index"),
+        (("barrier", (0, -1)), "gate 'barrier' has negative qubit index"),
+        (("rz", (0,)), "gate 'rz' expects 1 params, got 0"),
+        (("x", (0,), (0.1,)), "gate 'x' expects 0 params, got 1"),
+    ])
+    def test_invalid_gate_message(self, args, message):
+        with pytest.raises(CircuitError) as info:
+            Gate(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("args,error,message", [
+        (("x", ("a",)), ValueError,
+         "invalid literal for int() with base 10: 'a'"),
+        (("x", (None,)), TypeError,
+         "int() argument must be a string, a bytes-like object or a "
+         "real number, not 'NoneType'"),
+        (("rz", (0,), ("b",)), ValueError,
+         "could not convert string to float: 'b'"),
+    ])
+    def test_unconvertible_operands_raise_conversion_error(self, args,
+                                                           error, message):
+        # qubits and params are converted before any arity check, and a
+        # failed conversion surfaces as the conversion's own error
+        with pytest.raises(error) as info:
+            Gate(*args)
+        assert str(info.value) == message
+
+    def test_unknown_name_checked_before_conversion(self):
+        with pytest.raises(CircuitError, match="unknown gate name"):
+            Gate("foo", ("a",))
+
+    def test_slotted_gate_pickles(self):
+        import pickle
+
+        for g in (Gate("h", (3,)), Gate("xx", (0, 5), (0.25,)),
+                  Gate("barrier", (0, 1, 2)), Gate("u3", (1,), (0.1, 0.2, 0.3))):
+            clone = pickle.loads(pickle.dumps(g))
+            assert clone == g
+            assert hash(clone) == hash(g)
+            assert type(clone.qubits) is tuple and type(clone.params) is tuple
+
+    def test_gate_is_slotted_and_frozen(self):
+        import dataclasses
+
+        g = Gate("rz", (0,), (0.5,))
+        assert not hasattr(g, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.name = "rx"

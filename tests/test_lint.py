@@ -143,6 +143,45 @@ class TestCorpus:
         assert "_LEAK" in finding.message
         assert "_MODE_CACHE" not in finding.message
 
+    def test_unsanctioned_memos_fire(self):
+        """An lru_cache/cache decorator on a worker-reachable function is
+        module-level state: one finding per memo, however ``functools``
+        is imported."""
+        report = lint_one("rpr008_memo_bad.py", select=["RPR008"],
+                          graph=True)
+        messages = sorted(v.message for v in report.active)
+        assert len(messages) == 3, messages
+        for name, decorator in (("_compile_memo", "functools.lru_cache"),
+                                ("_native_memo", "functools.cache"),
+                                ("_sampler_memo", "functools.lru_cache")):
+            assert any(f"{name}()" in m and decorator in m
+                       for m in messages), messages
+        assert report.exit_code == 1
+
+    def test_memo_corpus_bad_is_clean_under_other_rules(self):
+        report = lint_one("rpr008_memo_bad.py", ignore=["RPR008"],
+                          graph=True)
+        assert report.active == [], [v.format() for v in report.active]
+
+    def test_sanctioned_memos_are_clean(self):
+        """The stage memos are sanctioned by name; driver-only memos and
+        look-alike decorators are not memos of worker code."""
+        report = lint_one("rpr008_memo_good.py", graph=True)
+        assert report.active == [], [v.format() for v in report.active]
+        assert report.exit_code == 0
+
+    def test_sanctioned_memos_exist_in_tree(self):
+        """Every sanctioned memo names a real memoised function, so the
+        list cannot outlive a rename."""
+        import importlib
+
+        from repro.devtools.rules.shared_state import SANCTIONED_MEMOS
+
+        for module_name, function_name in sorted(SANCTIONED_MEMOS):
+            module = importlib.import_module(module_name)
+            assert hasattr(getattr(module, function_name), "cache_clear"), (
+                module_name, function_name)
+
 
 class TestSuppressions:
     def test_justified_suppression_passes(self):

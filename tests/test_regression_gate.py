@@ -21,10 +21,15 @@ def gate():
     return module
 
 
+CALIBRATION = "benchmarks/calibration.py::calibration_kernel"
+
+
 def _medians(scale_tracked: float = 1.0, scale_all: float = 1.0,
-             ) -> dict[str, float]:
-    """A synthetic run with one benchmark per tracked hot path plus
-    untracked ballast for the machine-speed normaliser."""
+             scale_code: float = 1.0) -> dict[str, float]:
+    """A synthetic run with one benchmark per tracked hot path, untracked
+    ballast and the calibration kernel.  *scale_all* models a faster or
+    slower machine (the kernel moves too); *scale_code* a change of the
+    program (every benchmark but the kernel moves)."""
     tracked = {
         "benchmarks/bench_table3_compilation.py::test_tape_scheduling_time[QFT-0]": 0.006,
         "benchmarks/bench_engine.py::test_sweep_cache_hit_rate[QFT]": 0.0008,
@@ -40,9 +45,11 @@ def _medians(scale_tracked: float = 1.0, scale_all: float = 1.0,
     }
     untracked = {f"benchmarks/bench_other.py::test_{i}": 0.01 * (i + 1)
                  for i in range(8)}
-    out = {name: value * scale_tracked * scale_all
+    out = {name: value * scale_tracked * scale_all * scale_code
            for name, value in tracked.items()}
-    out.update({name: value * scale_all for name, value in untracked.items()})
+    out.update({name: value * scale_all * scale_code
+                for name, value in untracked.items()})
+    out[CALIBRATION] = 0.02 * scale_all
     return out
 
 
@@ -66,6 +73,40 @@ class TestCheck:
         # everything 2x slower = a slower runner, not a regression
         ok, lines = gate.check(_medians(scale_all=2.0), _medians())
         assert ok, "\n".join(lines)
+
+    def test_uniform_program_slowdown_fails(self, gate):
+        # every benchmark 2x slower on the same machine: the kernel does
+        # not move, so the slowdown cannot cancel itself out
+        ok, lines = gate.check(_medians(scale_code=2.0), _medians())
+        assert not ok
+        regressions = [line for line in lines if "REGRESSION" in line]
+        assert len(regressions) == len(gate.TRACKED_PATTERNS), lines
+
+    def test_uniform_slowdown_on_faster_machine_still_fails(self, gate):
+        ok, _ = gate.check(_medians(scale_all=0.5, scale_code=2.0),
+                           _medians())
+        assert not ok
+
+    def test_speedup_of_half_does_not_flag_the_other_half(self, gate):
+        current = _medians()
+        names = sorted(name for name in current if name != CALIBRATION)
+        for name in names[::2]:
+            current[name] *= 0.5
+        ok, lines = gate.check(current, _medians())
+        assert ok, "\n".join(lines)
+        # the untouched half reads exactly x1.00, not a slowdown
+        untouched = [line for line in lines if "x1.00" in line]
+        assert untouched and not any("REGRESSION" in line for line in lines)
+
+    def test_missing_calibration_kernel_fails(self, gate):
+        current = _medians()
+        del current[CALIBRATION]
+        ok, lines = gate.check(current, _medians())
+        assert not ok
+        assert "calibration kernel" in lines[0]
+        # a raw same-machine comparison needs no kernel
+        ok, _ = gate.check(current, _medians(), normalize=False)
+        assert ok
 
     def test_uniformly_slow_machine_fails_raw(self, gate):
         ok, _ = gate.check(_medians(scale_all=2.0), _medians(),
@@ -149,3 +190,4 @@ class TestCli:
         baseline = gate.load_baseline(gate.DEFAULT_BASELINE)
         groups = {gate.tracked_group(name) for name in baseline}
         assert groups >= {g for g, _ in gate.TRACKED_PATTERNS}
+        assert gate.machine_scale(baseline) is not None
