@@ -1,5 +1,7 @@
 """Experiment drivers and reporting for every figure/table of the paper."""
 
+import importlib
+
 from repro.analysis.convergence import (
     ConvergenceRow,
     convergence_study,
@@ -22,17 +24,6 @@ from repro.analysis.experiments import (
     table2,
     table3,
 )
-from repro.analysis.report import (
-    convergence_report,
-    figure6_report,
-    figure7_report,
-    figure8_report,
-    full_report,
-    scenarios_report,
-    search_report,
-    table2_report,
-    table3_report,
-)
 from repro.analysis.scenario_study import (
     AttributionRow,
     ScenarioRow,
@@ -40,13 +31,25 @@ from repro.analysis.scenario_study import (
     scenario_comparison,
     scenario_figure,
 )
-from repro.analysis.search_study import (
-    pareto_scatter,
-    search_study,
-    study_space,
-    write_search_json,
-)
 from repro.analysis.tables import format_records, format_table
+
+#: Modules that are also command-line entry points (``python -m
+#: repro.analysis.report`` / ``.search_study``).  Their names in
+#: ``__all__`` load on first access: importing the modules here would put
+#: them in ``sys.modules`` before runpy executes them as ``__main__``,
+#: which runpy warns about.
+_CLI_MODULES = ("report", "search_study")
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        for module in _CLI_MODULES:
+            value = getattr(importlib.import_module(f"{__name__}.{module}"),
+                            name, None)
+            if value is not None:
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AttributionRow",

@@ -90,11 +90,6 @@ class ExecutableProgram:
             for gate_index in segment.gate_indices:
                 yield self.circuit[gate_index], segment_index
 
-    def gates_by_segment(self) -> Iterator[tuple[TapeSegment, list[Gate]]]:
-        """Yield each segment together with its gates."""
-        for segment in self.segments:
-            yield segment, [self.circuit[i] for i in segment.gate_indices]
-
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------

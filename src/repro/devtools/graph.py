@@ -22,7 +22,9 @@ over every scanned file that maps into the ``repro`` package:
   passed as arguments (``pool.submit(_execute_chunk, ...)``,
   ``loop.run_in_executor(pool, execute_spec, ...)``) also produce
   edges, which is exactly how ``execute_spec`` becomes reachable from
-  every backend's ``submit``;
+  every backend's ``submit``; so does reading a module-level table
+  that names project functions (``execute_spec``'s per-architecture
+  compile steps): the reader may call any of them;
 * the **worker-reachable set**: every function transitively reachable
   from the backend task entry points in :data:`WORKER_ROOTS` — the code
   that today runs in forked pool workers and tomorrow runs on N remote
@@ -328,6 +330,10 @@ class ProjectGraph:
                         callees |= self._callee_ids(
                             module, fn, node, local_types, aliases
                         )
+                    elif (isinstance(node, ast.Name)
+                          and isinstance(node.ctx, ast.Load)
+                          and node.id in module.module_globals):
+                        callees |= self._table_ids(module, node.id)
                 callees.discard(fn.id)
                 self.call_edges[fn.id] = tuple(sorted(callees))
 
@@ -401,57 +407,54 @@ class ProjectGraph:
             return None
         return self._resolve_symbol(origin, symbol, _visited)
 
-    def _annotated_class(self, module: ModuleInfo,
-                         annotation: ast.expr | None) -> tuple | None:
-        """The project class an annotation names, unwrapping Optional.
+    def _annotated_classes(self, module: ModuleInfo,
+                           annotation: ast.expr | None) -> list[ClassInfo]:
+        """The project classes an annotation names, unwrapping unions.
 
         Handles ``DeviceSpec``, ``arch.DeviceSpec``, ``"DeviceSpec"``
-        (string annotation) and the optional forms ``X | None`` /
-        ``Optional[X]``.
+        (string annotation), ``Optional[X]`` and unions ``X | Y | None``
+        (every project class of the union).
         """
         if annotation is None:
-            return None
+            return []
         if (isinstance(annotation, ast.Constant)
                 and isinstance(annotation.value, str)):
             try:
                 annotation = ast.parse(annotation.value, mode="eval").body
             except SyntaxError:
-                return None
+                return []
         if (isinstance(annotation, ast.BinOp)
                 and isinstance(annotation.op, ast.BitOr)):
-            for side in (annotation.left, annotation.right):
-                resolved = self._annotated_class(module, side)
-                if resolved is not None:
-                    return resolved
-            return None
+            return (self._annotated_classes(module, annotation.left)
+                    + self._annotated_classes(module, annotation.right))
         if (isinstance(annotation, ast.Subscript)
                 and dotted_name(annotation.value) in ("Optional",
                                                       "typing.Optional")):
-            return self._annotated_class(module, annotation.slice)
+            return self._annotated_classes(module, annotation.slice)
         name = dotted_name(annotation)
         if name is None:
-            return None
+            return []
         resolved = self._resolve_dotted_symbol(module, name)
         if resolved is not None and resolved[0] == "class":
-            return resolved
-        return None
+            return [resolved[2]]
+        return []
 
     def _local_constructor_types(
         self, module: ModuleInfo, fn: FunctionInfo,
-    ) -> dict[str, tuple[ModuleInfo, ClassInfo]]:
+    ) -> dict[str, list[ClassInfo]]:
         """Statically typed locals, by name: parameters whose annotation
-        names a project class, plus locals assigned from a project-class
+        names project classes, plus locals assigned from a project-class
         constructor."""
-        types: dict[str, tuple[ModuleInfo, ClassInfo]] = {}
+        types: dict[str, list[ClassInfo]] = {}
         for node in _function_body_nodes(fn):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 for arg in (*args.posonlyargs, *args.args,
                             *args.kwonlyargs):
-                    resolved = self._annotated_class(module,
-                                                     arg.annotation)
-                    if resolved is not None:
-                        types[arg.arg] = (resolved[1], resolved[2])
+                    classes = self._annotated_classes(module,
+                                                      arg.annotation)
+                    if classes:
+                        types[arg.arg] = classes
                 continue
             target: ast.expr | None = None
             value: ast.expr | None = None
@@ -463,9 +466,9 @@ class ProjectGraph:
                 continue
             if (isinstance(node, ast.AnnAssign)
                     and node.annotation is not None):
-                resolved = self._annotated_class(module, node.annotation)
-                if resolved is not None:
-                    types[target.id] = (resolved[1], resolved[2])
+                classes = self._annotated_classes(module, node.annotation)
+                if classes:
+                    types[target.id] = classes
                     continue
             if not isinstance(value, ast.Call):
                 continue
@@ -474,7 +477,7 @@ class ProjectGraph:
                 continue
             resolved = self._resolve_dotted_symbol(module, ctor)
             if resolved is not None and resolved[0] == "class":
-                types[target.id] = (resolved[1], resolved[2])
+                types[target.id] = [resolved[2]]
         return types
 
     def _resolve_dotted_symbol(self, module: ModuleInfo,
@@ -519,7 +522,7 @@ class ProjectGraph:
 
     def _callee_ids(self, module: ModuleInfo, fn: FunctionInfo,
                     call: ast.Call,
-                    local_types: dict[str, tuple[ModuleInfo, ClassInfo]],
+                    local_types: dict[str, list[ClassInfo]],
                     aliases: dict[str, str]) -> set[str]:
         targets: set[str] = set()
         func = call.func
@@ -544,7 +547,7 @@ class ProjectGraph:
 
     def _attribute_call_ids(
         self, module: ModuleInfo, fn: FunctionInfo, func: ast.Attribute,
-        local_types: dict[str, tuple[ModuleInfo, ClassInfo]],
+        local_types: dict[str, list[ClassInfo]],
         aliases: dict[str, str],
     ) -> set[str]:
         attr = func.attr
@@ -556,11 +559,11 @@ class ProjectGraph:
         head = dotted.split(".", 1)[0]
         # receiver with a locally inferred constructor type
         if head in local_types and "." not in dotted[len(head) + 1:]:
-            _, class_info = local_types[head]
-            method = class_info.methods.get(attr)
-            if method is not None:
-                return {method.id}
-            # method not defined on the class (inherited): fall back
+            methods = [class_info.methods.get(attr)
+                       for class_info in local_types[head]]
+            if None not in methods:
+                return {method.id for method in methods}
+            # method not defined on a class (inherited): fall back
             return set(self._method_index.get(attr, ()))
         if head in ("self", "cls") and fn.class_name is not None:
             own = module.classes.get(fn.class_name)
@@ -584,6 +587,18 @@ class ProjectGraph:
             return set()
         # plain dynamic receiver (parameter, local without constructor)
         return set(self._method_index.get(attr, ()))
+
+    def _table_ids(self, module: ModuleInfo, name: str) -> set[str]:
+        """Project functions (and class constructors) a module-level
+        value names, e.g. the entries of a dispatch table."""
+        return {
+            target
+            for ref in ast.walk(module.module_globals[name])
+            if isinstance(ref, ast.Name)
+            for target in self._class_or_function_ids(
+                self._resolve_symbol(module, ref.id)
+            )
+        }
 
     def _class_or_function_ids(self, resolved: tuple | None) -> set[str]:
         if resolved is None:

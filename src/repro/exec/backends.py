@@ -46,6 +46,7 @@ from repro.arch.tilt import TiltDevice
 from repro.circuits.circuit import Circuit, circuit_from_gates
 from repro.circuits.gate import Gate
 from repro.compiler.decompose import clear_native_memo
+from repro.compiler.metrics import CompileStats
 from repro.compiler.pipeline import CompileResult, CompilerConfig, LinQCompiler
 from repro.compiler.qccd_compiler import QccdCompiler, QccdProgram
 from repro.exceptions import ReproError
@@ -122,6 +123,28 @@ def _content(circuit: Circuit) -> tuple[int, str, tuple[Gate, ...]]:
     return circuit.num_qubits, circuit.name, circuit.gates
 
 
+def _compile_linq(spec: JobSpec) -> tuple[CompileResult, CompileStats, dict]:
+    compiled = _linq_memo(*_content(spec.circuit), spec.device,
+                          spec.config or CompilerConfig())
+    return compiled, compiled.stats, {}
+
+
+def _compile_qccd(spec: JobSpec) -> tuple[QccdProgram, None, dict]:
+    program = _qccd_memo(*_content(spec.circuit), spec.device)
+    return program, None, {"circuit_name": spec.circuit.name}
+
+
+#: Per architecture (``JobSpec.backend``): its compile step, returning
+#: ``(program, compile stats, naming keywords of the simulator calls)``,
+#: and its simulator.  An architecture without a compile step simulates
+#: the logical circuit and so ignores ``JobSpec.simulate``.
+_ARCHITECTURES = {
+    "tilt": (_compile_linq, TiltSimulator),
+    "ideal": (None, IdealSimulator),
+    "qccd": (_compile_qccd, QccdSimulator),
+}
+
+
 def clear_stage_memos() -> None:
     """Forget every memoised compile stage of this process.
 
@@ -169,50 +192,26 @@ def execute_spec(spec: JobSpec, key: str | None = None) -> JobResult:
     # per-gate noise model once and derives the analytic result from that
     # same pass (shot.analytic), so nothing is computed twice.
     with span:
-        if spec.backend == "tilt":
-            compiled = _linq_memo(
-                *_content(spec.circuit), spec.device,
-                spec.config or CompilerConfig(),
+        compile_step, simulator_cls = _ARCHITECTURES[spec.backend]
+        program, naming = spec.circuit, {}
+        if compile_step is not None:
+            program, stats, naming = compile_step(spec)
+        if spec.simulate or compile_step is None:
+            # the annotation types the receiver for the call-graph
+            # linter: an untyped receiver would name-match every `.run`
+            simulator: TiltSimulator | QccdSimulator | IdealSimulator = (
+                simulator_cls(spec.device, noise)
             )
-            stats = compiled.stats
-            if spec.simulate:
-                simulator = TiltSimulator(spec.device, noise)
-                if spec.shots:
-                    shot = simulator.run_stochastic(
-                        compiled, shots=spec.shots, seed=spec.seed,
-                        shot_offset=spec.shot_offset, scenario=scenario,
-                    )
-                    simulation = shot.analytic
-                else:
-                    simulation = simulator.run(compiled, scenario=scenario)
-        elif spec.backend == "ideal":
-            simulator = IdealSimulator(spec.device, noise)
             if spec.shots:
                 shot = simulator.run_stochastic(
-                    spec.circuit, shots=spec.shots, seed=spec.seed,
+                    program, shots=spec.shots, seed=spec.seed,
                     shot_offset=spec.shot_offset, scenario=scenario,
+                    **naming,
                 )
                 simulation = shot.analytic
             else:
-                simulation = simulator.run(spec.circuit, scenario=scenario)
-        elif spec.backend == "qccd":
-            program = _qccd_memo(*_content(spec.circuit), spec.device)
-            if spec.simulate:
-                simulator = QccdSimulator(spec.device, noise)
-                if spec.shots:
-                    shot = simulator.run_stochastic(
-                        program, shots=spec.shots, seed=spec.seed,
-                        shot_offset=spec.shot_offset,
-                        circuit_name=spec.circuit.name, scenario=scenario,
-                    )
-                    simulation = shot.analytic
-                else:
-                    simulation = simulator.run(
-                        program, circuit_name=spec.circuit.name,
-                        scenario=scenario,
-                    )
-        else:  # pragma: no cover - validated by JobSpec.__post_init__
-            raise ReproError(f"unknown backend {spec.backend!r}")
+                simulation = simulator.run(program, scenario=scenario,
+                                           **naming)
         if profiler is not None:
             span.add(profile=profiler.finish())
     wall_time = time.perf_counter() - start

@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from repro.noise.channels import (
     LEAKAGE,
     MEASURE_FLIP,
     ErrorSite,
-    SiteTable,
     error_site_for_gate,
 )
 
@@ -318,19 +317,24 @@ class ShuttlePoint:
 TimelinePoint = Union[GatePoint, ShuttlePoint]
 
 
-def chain_spectators(qubits: tuple[int, ...], window_ions: Iterable[int],
+def chain_spectators(qubits: tuple[int, ...], chain: Sequence[int],
                      max_distance: int) -> tuple[tuple[int, int], ...]:
-    """The ``(ion, distance)`` spectator pairs of a gate in a chain window.
+    """The ``(ion, distance)`` spectator pairs of a gate in one ion chain.
 
-    Distance is the ion's separation from the nearest gate operand; only
-    spectators within *max_distance* are returned, sorted by ion index.
+    *chain* lists the ions of the chain (or of the laser window) in
+    physical order; a spectator's distance is the number of positions
+    between it and the nearest gate operand.  Only spectators within
+    *max_distance* are returned, sorted by ion index.
     """
-    operands = set(qubits)
+    operand_positions = [position for position, ion in enumerate(chain)
+                         if ion in qubits]
+    if not operand_positions:
+        return ()
     spectators = []
-    for ion in window_ions:
-        if ion in operands:
+    for position, ion in enumerate(chain):
+        if ion in qubits:
             continue
-        distance = min(abs(ion - q) for q in operands)
+        distance = min(abs(position - p) for p in operand_positions)
         if 1 <= distance <= max_distance:
             spectators.append((ion, distance))
     return tuple(sorted(spectators))
@@ -385,18 +389,6 @@ def build_scenario_sites(points: Sequence[TimelinePoint],
                     probability=rate, window=point.window,
                 ))
     return sites
-
-
-def scenario_site_table(points: Sequence[TimelinePoint],
-                        scenario: NoiseScenario) -> SiteTable:
-    """Columnar :class:`~repro.noise.channels.SiteTable` of a timeline.
-
-    The array form of :func:`build_scenario_sites` — per-site
-    probability/window/kind-mask columns in the same execution order —
-    for analytics or sampling code that wants vectorized access to a
-    scenario's site probabilities without re-walking the object list.
-    """
-    return SiteTable.from_sites(build_scenario_sites(points, scenario))
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 the shot-based stochastic (Monte-Carlo) noise subsystem."""
 
 from repro.sim.ideal_sim import IdealSimulator
-from repro.sim.qccd_sim import QccdSimulator, QccdTrace
+from repro.sim.qccd_sim import QccdSimulator
 from repro.sim.result import SimulationResult
 from repro.sim.statevector import (
     MAX_STATEVECTOR_QUBITS,
@@ -25,7 +25,6 @@ __all__ = [
     "IdealSimulator",
     "MAX_STATEVECTOR_QUBITS",
     "QccdSimulator",
-    "QccdTrace",
     "ShotRecord",
     "ShotResult",
     "SimulationResult",

@@ -10,37 +10,24 @@ coolant ions, so (unlike a full-tape shuttle) their motional energy does not
 grow without bound.  Ion extraction is modelled as a split at the ion's
 position (the recorded ``swap_to_edge_gates`` are reported but carry no gate
 error).  This is a simplified re-implementation of the Murali et al. [64]
-QCCD cost model sufficient for the Figure 8 architecture comparison; see
-DESIGN.md for the substitution notes.
+QCCD cost model sufficient for the Figure 8 architecture comparison; the
+substitutions it makes are the ones listed above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.arch.qccd import QccdDevice
-from repro.circuits.gate import Gate
 from repro.compiler.qccd_compiler import (
     QccdGateEvent,
     QccdProgram,
     QccdShuttleEvent,
 )
 from repro.exceptions import SimulationError
-from repro.noise.channels import error_site_for_gate
-from repro.noise.fidelity import SuccessRateAccumulator, gate_fidelity
+from repro.noise.fidelity import gate_fidelity
 from repro.noise.gate_times import gate_time_us, two_qubit_gate_time_us
 from repro.noise.heating import ChainHeatingState
-from repro.noise.parameters import NoiseParameters
-from repro.noise.scenarios import (
-    GatePoint,
-    NoiseScenario,
-    ShuttlePoint,
-    TimelinePoint,
-    build_scenario_sites,
-    chain_spectators,
-    resolve_scenario,
-    scenario_analytics,
-)
+from repro.noise.scenarios import NoiseScenario
+from repro.sim._timeline import Timeline, TimelineSimulator
 from repro.sim.result import SimulationResult
 from repro.sim.stochastic import (
     DEFAULT_MAX_RECORDS,
@@ -56,145 +43,10 @@ SEGMENT_HOP_TIME_US = 100.0
 COOLING_TIME_US = 100.0
 
 
-@dataclass
-class QccdTrace:
-    """Flattened replay of a QCCD program: gates with their fidelities.
-
-    One record per executed gate (in event order) plus the aggregate time
-    and heating state; both the analytic estimator and the stochastic
-    sampler are built from this single replay.  ``points`` is the
-    correlated-noise timeline (gates with spectators and their trap as
-    burst-coupling window, transports as shuttle points; only
-    materialised when the replay runs under a non-baseline scenario) and
-    ``telemetry`` carries the per-trap heating counters that survive
-    every sympathetic-cooling event.
-    """
-
-    gates: list[Gate] = field(default_factory=list)
-    fidelities: list[float] = field(default_factory=list)
-    num_two_qubit: int = 0
-    execution_time_us: float = 0.0
-    final_quanta: dict[str, float] = field(default_factory=dict)
-    points: list[TimelinePoint] = field(default_factory=list)
-    telemetry: dict[str, float] = field(default_factory=dict)
-
-
-class QccdSimulator:
+class QccdSimulator(TimelineSimulator):
     """Success-rate estimator for compiled QCCD programs."""
 
-    def __init__(self, device: QccdDevice,
-                 params: NoiseParameters | None = None) -> None:
-        self.device = device
-        self.params = params or NoiseParameters.paper_defaults()
-
-    def trace(self, program: QccdProgram,
-              scenario: NoiseScenario | None = None) -> QccdTrace:
-        """Replay *program*, recording per-gate fidelities under heating.
-
-        The replay also produces the correlated-noise timeline: crosstalk
-        spectators are the other ions sharing the trap at gate time (with
-        their in-chain distance to the nearest operand), the trap index
-        is the burst-coupling window, and every transport is a shuttle
-        point.  QCCD's per-transport sympathetic cooling is *partial*
-        (``qccd_cooling_factor``), so it never clears an active burst —
-        windows span the whole program.
-        """
-        if program.device.num_qubits != self.device.num_qubits:
-            raise SimulationError("program compiled for a different device")
-
-        members = [list(trap) for trap in self.device.initial_layout()]
-        chains = {
-            trap: ChainHeatingState(self.params, max(1, len(ions)))
-            for trap, ions in enumerate(members)
-        }
-        # The timeline is only materialised for correlated scenarios;
-        # baseline replays (every pre-existing study) stay allocation-free.
-        want_points = scenario is not None and not scenario.is_baseline
-        want_spectators = want_points and scenario.crosstalk_strength > 0.0
-        trace = QccdTrace()
-        transports = 0
-        for event in program.events:
-            if isinstance(event, QccdGateEvent):
-                chain = chains[event.trap]
-                gate = event.gate
-                if gate.num_qubits == 2:
-                    trace.num_two_qubit += 1
-                    duration = two_qubit_gate_time_us(
-                        max(1, event.distance), self.params
-                    )
-                    fidelity = gate_fidelity(gate, chain.quanta, self.params)
-                else:
-                    duration = gate_time_us(gate, self.params)
-                    fidelity = gate_fidelity(gate, 0.0, self.params)
-                if want_points:
-                    spectators = ()
-                    if want_spectators and gate.num_qubits == 2:
-                        spectators = self._trap_spectators(
-                            members[event.trap], gate.qubits,
-                            scenario.crosstalk_range,
-                        )
-                    trace.points.append(GatePoint(
-                        index=len(trace.gates),
-                        gate=gate,
-                        fidelity=fidelity,
-                        spectators=spectators,
-                        window=event.trap,
-                    ))
-                trace.gates.append(gate)
-                trace.fidelities.append(fidelity)
-                trace.execution_time_us += duration
-            elif isinstance(event, QccdShuttleEvent):
-                trace.execution_time_us += self._shuttle_time_us(event)
-                source = chains[event.source_trap]
-                dest = chains[event.dest_trap]
-                source.record_qccd_primitive(event.splits)
-                dest.record_qccd_primitive(event.hops + event.merges)
-                # Sympathetic cooling after the transport settles.
-                source.apply_cooling()
-                dest.apply_cooling()
-                trace.execution_time_us += COOLING_TIME_US
-                # Membership only feeds crosstalk spectator lookup, so
-                # the per-transport maintenance is skipped otherwise.
-                if want_spectators and event.qubit in members[event.source_trap]:
-                    members[event.source_trap].remove(event.qubit)
-                    members[event.dest_trap].append(event.qubit)
-                transports += 1
-                if want_points:
-                    # The deposited burst heats the chain the ion merged
-                    # into.
-                    trace.points.append(ShuttlePoint(move=transports,
-                                                     window=event.dest_trap))
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown QCCD event {event!r}")
-        trace.final_quanta = {f"trap_{t}_quanta": chain.quanta
-                              for t, chain in chains.items()}
-        trace.telemetry = {
-            f"trap_{t}_qccd_ops": float(chain.num_qccd_ops)
-            for t, chain in chains.items()
-        }
-        return trace
-
-    @staticmethod
-    def _trap_spectators(ions: list[int], operands: tuple[int, ...],
-                         max_distance: int) -> tuple[tuple[int, int], ...]:
-        """Spectator ``(ion, distance)`` pairs within one trap's chain.
-
-        Distance is measured along the trap's chain order (the membership
-        list), mirroring how close a spectator physically sits to the MS
-        gate's laser pair: the shared :func:`chain_spectators` filter
-        runs in position space and the positions map back to ion ids.
-        """
-        positions = {ion: position for position, ion in enumerate(ions)}
-        operand_positions = tuple(
-            positions[q] for q in operands if q in positions
-        )
-        if not operand_positions:  # pragma: no cover - defensive
-            return ()
-        pairs = chain_spectators(operand_positions, range(len(ions)),
-                                 max_distance)
-        return tuple(sorted(
-            (ions[position], distance) for position, distance in pairs
-        ))
+    device: QccdDevice
 
     def run(self, program: QccdProgram,
             *, circuit_name: str = "circuit",
@@ -206,35 +58,7 @@ class QccdSimulator:
         leakage, per-transport heating bursts) and surface per-mechanism
         site telemetry in ``extras``.
         """
-        scenario = resolve_scenario(scenario)
-        trace = self.trace(program, scenario)
-        result = self._result_from_trace(trace, program, circuit_name)
-        if scenario.is_baseline:
-            return result
-        analytics = scenario_analytics(
-            build_scenario_sites(trace.points, scenario), scenario
-        )
-        return analytics.apply_to(result)
-
-    def _result_from_trace(self, trace: QccdTrace, program: QccdProgram,
-                           circuit_name: str) -> SimulationResult:
-        accumulator = SuccessRateAccumulator()
-        for fidelity in trace.fidelities:
-            accumulator.add(fidelity)
-        return SimulationResult(
-            architecture="QCCD",
-            circuit_name=circuit_name,
-            success_rate=accumulator.success_rate,
-            log10_success_rate=accumulator.log10_success_rate,
-            execution_time_us=trace.execution_time_us,
-            num_gates=len(trace.gates),
-            num_two_qubit_gates=trace.num_two_qubit,
-            num_moves=program.num_shuttles,
-            move_distance_um=0.0,
-            average_gate_fidelity=accumulator.average_gate_fidelity,
-            worst_gate_fidelity=accumulator.worst_gate_fidelity,
-            extras={**trace.final_quanta, **trace.telemetry},
-        )
+        return self._analytic(program, scenario, circuit_name=circuit_name)
 
     def build_sampler(self, program: QccdProgram, *,
                       circuit_name: str = "circuit",
@@ -247,37 +71,8 @@ class QccdSimulator:
         without drawing a shot, for callers that sample one program
         repeatedly.
         """
-        scenario = resolve_scenario(scenario)
-        trace = self.trace(program, scenario)
-        expected_rate = None
-        if scenario.is_baseline:
-            sites = []
-            for index, (gate, fidelity) in enumerate(
-                zip(trace.gates, trace.fidelities)
-            ):
-                site = error_site_for_gate(index, gate, fidelity)
-                if site is not None:
-                    sites.append(site)
-            if analytic is None:
-                analytic = self._result_from_trace(trace, program,
-                                                   circuit_name)
-        else:
-            sites = build_scenario_sites(trace.points, scenario)
-            analytics = scenario_analytics(sites, scenario)
-            expected_rate = analytics.success_rate
-            if analytic is None:
-                base = self._result_from_trace(trace, program, circuit_name)
-                analytic = analytics.apply_to(base)
-        return StochasticSampler(
-            architecture="QCCD",
-            circuit_name=circuit_name,
-            sites=sites,
-            gates=trace.gates,
-            num_qubits=self.device.num_qubits,
-            analytic=analytic,
-            burst_multiplier=scenario.burst_error_multiplier,
-            expected_rate=expected_rate,
-        )
+        return self._sampler(program, scenario, analytic,
+                             circuit_name=circuit_name)
 
     def run_stochastic(self, program: QccdProgram,
                        *, shots: int, seed: int = 0, shot_offset: int = 0,
@@ -298,14 +93,95 @@ class QccdSimulator:
         Non-baseline *scenario* values add in-trap crosstalk, leakage
         and per-transport heating-burst sites.
         """
-        # the annotation types the receiver for the call-graph linter:
-        # an untyped method-call result would name-match every `.run`
-        sampler: StochasticSampler = self.build_sampler(program, circuit_name=circuit_name,
-                                     analytic=analytic, scenario=scenario)
-        return sampler.run(shots, seed=seed, shot_offset=shot_offset,
-                           sample_counts=sample_counts,
-                           max_records=max_records,
-                           exhaustive_shots=exhaustive_shots)
+        return self._sample(
+            program, shots=shots, seed=seed, shot_offset=shot_offset,
+            sample_counts=sample_counts, max_records=max_records,
+            analytic=analytic, scenario=scenario,
+            exhaustive_shots=exhaustive_shots, circuit_name=circuit_name,
+        )
+
+    # ------------------------------------------------------------------
+    # The QCCD timeline
+    # ------------------------------------------------------------------
+    def _timeline(self, program: QccdProgram, scenario: NoiseScenario,
+                  circuit_name: str = "circuit") -> Timeline:
+        """Replay *program* event by event with per-trap heating state.
+
+        Under a non-baseline *scenario* the replay also records the
+        correlated-noise timeline: crosstalk spectators are the other
+        ions sharing the trap at gate time (with their in-chain distance
+        to the nearest operand), the trap index is the burst-coupling
+        window, and every transport is a shuttle point.  QCCD's
+        per-transport sympathetic cooling is *partial*
+        (``qccd_cooling_factor``), so it never clears an active burst —
+        windows span the whole program.  The per-trap heating counters
+        that survive every cooling event land in the result's extras.
+        """
+        if program.device.num_qubits != self.device.num_qubits:
+            raise SimulationError("program compiled for a different device")
+
+        params = self.params
+        members = [list(trap) for trap in self.device.initial_layout()]
+        chains = {
+            trap: ChainHeatingState(params, max(1, len(ions)))
+            for trap, ions in enumerate(members)
+        }
+        timeline = Timeline(scenario)
+        execution_time_us = 0.0
+        num_two_qubit = 0
+        transports = 0
+        for event in program.events:
+            if isinstance(event, QccdGateEvent):
+                chain = chains[event.trap]
+                gate = event.gate
+                if gate.num_qubits == 2:
+                    num_two_qubit += 1
+                    duration = two_qubit_gate_time_us(
+                        max(1, event.distance), params
+                    )
+                    fidelity = gate_fidelity(gate, chain.quanta, params)
+                else:
+                    duration = gate_time_us(gate, params)
+                    fidelity = gate_fidelity(gate, 0.0, params)
+                timeline.add_gate(gate, fidelity, event.trap,
+                                  members[event.trap])
+                execution_time_us += duration
+            elif isinstance(event, QccdShuttleEvent):
+                execution_time_us += self._shuttle_time_us(event)
+                source = chains[event.source_trap]
+                dest = chains[event.dest_trap]
+                source.record_qccd_primitive(event.splits)
+                dest.record_qccd_primitive(event.hops + event.merges)
+                # Sympathetic cooling after the transport settles.
+                source.apply_cooling()
+                dest.apply_cooling()
+                execution_time_us += COOLING_TIME_US
+                # Membership only feeds crosstalk spectator lookup, so
+                # the per-transport maintenance is skipped otherwise.
+                if (timeline.crosstalk_range
+                        and event.qubit in members[event.source_trap]):
+                    members[event.source_trap].remove(event.qubit)
+                    members[event.dest_trap].append(event.qubit)
+                transports += 1
+                # The deposited burst heats the chain the ion merged into.
+                timeline.add_shuttle(transports, event.dest_trap)
+            else:  # pragma: no cover - defensive
+                raise SimulationError(f"unknown QCCD event {event!r}")
+        extras = {f"trap_{t}_quanta": chain.quanta
+                  for t, chain in chains.items()}
+        extras.update({f"trap_{t}_qccd_ops": float(chain.num_qccd_ops)
+                       for t, chain in chains.items()})
+        return timeline.finish(
+            self.device.num_qubits,
+            architecture="QCCD",
+            circuit_name=circuit_name,
+            execution_time_us=execution_time_us,
+            num_gates=len(timeline.gates),
+            num_two_qubit_gates=num_two_qubit,
+            num_moves=program.num_shuttles,
+            move_distance_um=0.0,
+            extras=extras,
+        )
 
     @staticmethod
     def _shuttle_time_us(event: QccdShuttleEvent) -> float:

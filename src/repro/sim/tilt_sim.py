@@ -10,29 +10,14 @@ plus the critical path of gate durations.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterator
-
 from repro.arch.tilt import TiltDevice
-from repro.circuits.gate import Gate
 from repro.compiler.executable import ExecutableProgram
 from repro.compiler.pipeline import CompileResult
 from repro.exceptions import SimulationError
-from repro.noise.channels import error_site_for_gate
-from repro.noise.fidelity import SuccessRateAccumulator, gate_fidelity
-from repro.noise.gate_times import gate_time_us
+from repro.noise.fidelity import gate_fidelity
 from repro.noise.heating import quanta_after_moves
-from repro.noise.parameters import NoiseParameters
-from repro.noise.scenarios import (
-    GatePoint,
-    NoiseScenario,
-    ShuttlePoint,
-    TimelinePoint,
-    build_scenario_sites,
-    chain_spectators,
-    resolve_scenario,
-    scenario_analytics,
-)
+from repro.noise.scenarios import NoiseScenario
+from repro.sim._timeline import Timeline, TimelineSimulator, critical_path_us
 from repro.sim.result import SimulationResult
 from repro.sim.stochastic import (
     DEFAULT_MAX_RECORDS,
@@ -41,39 +26,14 @@ from repro.sim.stochastic import (
 )
 
 
-class TiltSimulator:
+class TiltSimulator(TimelineSimulator):
     """Success-rate and execution-time estimator for compiled TILT programs."""
 
-    def __init__(self, device: TiltDevice,
-                 params: NoiseParameters | None = None) -> None:
-        self.device = device
-        self.params = params or NoiseParameters.paper_defaults()
+    device: TiltDevice
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def _resolve(self, program: ExecutableProgram | CompileResult,
-                 circuit_name: str | None) -> tuple[ExecutableProgram, str]:
-        if isinstance(program, CompileResult):
-            name = circuit_name or program.source_circuit.name
-            program = program.program
-        else:
-            name = circuit_name or program.circuit.name
-        if program.device.num_qubits != self.device.num_qubits:
-            raise SimulationError(
-                "program was scheduled for a different chain length"
-            )
-        return program, name
-
-    def gate_fidelities(
-        self, program: ExecutableProgram
-    ) -> Iterator[tuple[Gate, float]]:
-        """Yield ``(gate, fidelity)`` in execution order under Eq. 4 heating."""
-        chain_length = self.device.num_qubits
-        for gate, moves_before in program.gates_with_move_counts():
-            quanta = quanta_after_moves(moves_before, chain_length, self.params)
-            yield gate, gate_fidelity(gate, quanta, self.params)
-
     def run(self, program: ExecutableProgram | CompileResult,
             *, circuit_name: str | None = None,
             scenario: NoiseScenario | str | None = None) -> SimulationResult:
@@ -86,107 +46,8 @@ class TiltSimulator:
         exact correlated-noise analytics and surface per-mechanism site
         telemetry in ``extras``.
         """
-        program, name = self._resolve(program, circuit_name)
-        scenario = resolve_scenario(scenario)
-        if scenario.is_baseline:
-            return self._result_from_fidelities(
-                program, name,
-                (fidelity for _, fidelity in self.gate_fidelities(program)),
-            )
-        points = self.scenario_points(program, scenario)
-        base = self._result_from_fidelities(
-            program, name,
-            (point.fidelity for point in points
-             if isinstance(point, GatePoint)),
-        )
-        analytics = scenario_analytics(
-            build_scenario_sites(points, scenario), scenario
-        )
-        return analytics.apply_to(base)
+        return self._analytic(program, scenario, circuit_name=circuit_name)
 
-    # ------------------------------------------------------------------
-    # Correlated-noise timeline
-    # ------------------------------------------------------------------
-    def scenario_points(self, program: ExecutableProgram,
-                        scenario: NoiseScenario) -> list[TimelinePoint]:
-        """The execution timeline the scenario machinery consumes.
-
-        Gates carry their Eq. 4 fidelity, the spectator ions currently
-        under the laser head (crosstalk targets) and their burst-coupling
-        window; every tape move between segments is a
-        :class:`ShuttlePoint`.  Windows follow the sympathetic-cooling
-        intervals: moves ``1..interval`` share window 0, and so on — with
-        cooling disabled the whole program is one window, so a burst
-        persists to the end (Section II-B's unbounded tape heating).
-        """
-        interval = self.params.tilt_cooling_interval_moves
-        chain_length = self.device.num_qubits
-
-        def window_of(move: int) -> int:
-            if interval <= 0 or move <= 0:
-                return 0
-            return (move - 1) // interval
-
-        want_spectators = scenario.crosstalk_strength > 0.0
-        points: list[TimelinePoint] = []
-        gate_index = 0
-        for segment_index, segment in enumerate(program.segments):
-            if segment_index > 0:
-                points.append(ShuttlePoint(move=segment_index,
-                                           window=window_of(segment_index)))
-            quanta = quanta_after_moves(segment_index, chain_length,
-                                        self.params)
-            window = window_of(segment_index)
-            head_ions = self.device.window(segment.position)
-            for index_in_circuit in segment.gate_indices:
-                gate = program.circuit[index_in_circuit]
-                spectators = ()
-                if want_spectators and gate.num_qubits == 2:
-                    spectators = chain_spectators(
-                        gate.qubits, head_ions, scenario.crosstalk_range
-                    )
-                points.append(GatePoint(
-                    index=gate_index,
-                    gate=gate,
-                    fidelity=gate_fidelity(gate, quanta, self.params),
-                    spectators=spectators,
-                    window=window,
-                ))
-                gate_index += 1
-        return points
-
-    def _result_from_fidelities(self, program: ExecutableProgram, name: str,
-                                fidelities) -> SimulationResult:
-        accumulator = SuccessRateAccumulator()
-        chain_length = self.device.num_qubits
-        for fidelity in fidelities:
-            accumulator.add(fidelity)
-
-        execution_time = self._execution_time_us(program)
-        circuit = program.circuit
-        return SimulationResult(
-            architecture=f"TILT head {self.device.head_size}",
-            circuit_name=name,
-            success_rate=accumulator.success_rate,
-            log10_success_rate=accumulator.log10_success_rate,
-            execution_time_us=execution_time,
-            num_gates=circuit.num_gates(),
-            num_two_qubit_gates=circuit.num_two_qubit_gates(),
-            num_moves=program.num_moves,
-            move_distance_um=program.move_distance_um,
-            average_gate_fidelity=accumulator.average_gate_fidelity,
-            worst_gate_fidelity=accumulator.worst_gate_fidelity,
-            extras={
-                "final_quanta": quanta_after_moves(
-                    program.num_moves, chain_length, self.params
-                ),
-                "num_segments": float(len(program.segments)),
-            },
-        )
-
-    # ------------------------------------------------------------------
-    # Stochastic (shot-based) simulation
-    # ------------------------------------------------------------------
     def build_sampler(self, program: ExecutableProgram | CompileResult,
                       *, circuit_name: str | None = None,
                       analytic: SimulationResult | None = None,
@@ -200,50 +61,8 @@ class TiltSimulator:
         program repeatedly (shard fan-outs, throughput benchmarks) can
         reuse one sampler across ``run`` calls.
         """
-        program, name = self._resolve(program, circuit_name)
-        scenario = resolve_scenario(scenario)
-        expected_rate = None
-        if scenario.is_baseline:
-            gates = []
-            sites = []
-            fidelities = []
-            for index, (gate, fidelity) in enumerate(
-                self.gate_fidelities(program)
-            ):
-                gates.append(gate)
-                fidelities.append(fidelity)
-                site = error_site_for_gate(index, gate, fidelity)
-                if site is not None:
-                    sites.append(site)
-            if analytic is None:
-                analytic = self._result_from_fidelities(program, name,
-                                                        fidelities)
-        else:
-            points = self.scenario_points(program, scenario)
-            gates = [point.gate for point in points
-                     if isinstance(point, GatePoint)]
-            sites = build_scenario_sites(points, scenario)
-            # one analytics pass serves both the analytic result and the
-            # sampler's expected rate — the burst DP never runs twice
-            analytics = scenario_analytics(sites, scenario)
-            expected_rate = analytics.success_rate
-            if analytic is None:
-                base = self._result_from_fidelities(
-                    program, name,
-                    (point.fidelity for point in points
-                     if isinstance(point, GatePoint)),
-                )
-                analytic = analytics.apply_to(base)
-        return StochasticSampler(
-            architecture=f"TILT head {self.device.head_size}",
-            circuit_name=name,
-            sites=sites,
-            gates=gates,
-            num_qubits=program.circuit.num_qubits,
-            analytic=analytic,
-            burst_multiplier=scenario.burst_error_multiplier,
-            expected_rate=expected_rate,
-        )
+        return self._sampler(program, scenario, analytic,
+                             circuit_name=circuit_name)
 
     def run_stochastic(self, program: ExecutableProgram | CompileResult,
                        *, shots: int, seed: int = 0, shot_offset: int = 0,
@@ -281,55 +100,82 @@ class TiltSimulator:
         per-shot reference implementation the vectorized default is
         pinned bit-identical to.
         """
-        mapping = (program.final_mapping
-                   if isinstance(program, CompileResult) else None)
-        # the annotation types the receiver for the call-graph linter:
-        # an untyped method-call result would name-match every `.run`
-        sampler: StochasticSampler = self.build_sampler(program, circuit_name=circuit_name,
-                                     analytic=analytic, scenario=scenario)
-        result = sampler.run(shots, seed=seed, shot_offset=shot_offset,
-                             sample_counts=sample_counts,
-                             max_records=max_records,
-                             exhaustive_shots=exhaustive_shots)
-        if mapping is not None and result.counts is not None:
-            assert sampler.num_qubits is not None
-            physical_of = [mapping.physical(logical)
-                           for logical in range(sampler.num_qubits)]
-            relabelled: dict[str, int] = {}
-            for bits, count in result.counts.items():
-                logical_bits = "".join(bits[p] for p in physical_of)
-                relabelled[logical_bits] = (
-                    relabelled.get(logical_bits, 0) + count
-                )
-            result = dataclasses.replace(result, counts=relabelled)
-        return result
+        return self._sample(
+            program, shots=shots, seed=seed, shot_offset=shot_offset,
+            sample_counts=sample_counts, max_records=max_records,
+            analytic=analytic, scenario=scenario,
+            exhaustive_shots=exhaustive_shots, circuit_name=circuit_name,
+        )
 
     # ------------------------------------------------------------------
-    # Execution time (Eq. 5)
+    # The TILT timeline
     # ------------------------------------------------------------------
-    def _execution_time_us(self, program: ExecutableProgram) -> float:
-        """Tape travel time plus per-segment gate critical paths."""
-        shuttle_time = (
-            program.move_distance_um / self.params.shuttle_speed_um_per_us
-        )
-        interval = self.params.tilt_cooling_interval_moves
+    def _timeline(self, program: ExecutableProgram | CompileResult,
+                  scenario: NoiseScenario,
+                  circuit_name: str | None = None) -> Timeline:
+        """Replay the tape schedule segment by segment.
+
+        Every gate in segment *m* (after *m* tape moves) runs at the
+        Eq. 4 fidelity of a chain holding ``m * k`` quanta; the Eq. 5
+        time is the tape travel (plus sympathetic-cooling pauses) and
+        the per-segment gate critical paths.  Under a non-baseline
+        *scenario* gates also carry the spectator ions currently under
+        the laser head (crosstalk targets) and every tape move between
+        segments is a :class:`ShuttlePoint`.  Burst windows follow the
+        sympathetic-cooling intervals: moves ``1..interval`` share
+        window 0, and so on — with cooling disabled the whole program is
+        one window, so a burst persists to the end (Section II-B's
+        unbounded tape heating).
+        """
+        if isinstance(program, CompileResult):
+            name = circuit_name or program.source_circuit.name
+            program = program.program
+        else:
+            name = circuit_name or program.circuit.name
+        chain_length = self.device.num_qubits
+        if program.device.num_qubits != chain_length:
+            raise SimulationError(
+                "program was scheduled for a different chain length"
+            )
+        params = self.params
+        interval = params.tilt_cooling_interval_moves
+        circuit = program.circuit
+        timeline = Timeline(scenario)
+        gate_time = 0.0
+        for segment_index, segment in enumerate(program.segments):
+            window = (0 if interval <= 0 or segment_index <= 0
+                      else (segment_index - 1) // interval)
+            if segment_index > 0:
+                timeline.add_shuttle(segment_index, window)
+            quanta = quanta_after_moves(segment_index, chain_length, params)
+            head_ions = self.device.window(segment.position)
+            segment_gates = [circuit[i] for i in segment.gate_indices]
+            for gate in segment_gates:
+                timeline.add_gate(gate, gate_fidelity(gate, quanta, params),
+                                  window, head_ions)
+            gate_time += critical_path_us(segment_gates, params)
+
+        shuttle_time = program.move_distance_um / params.shuttle_speed_um_per_us
         if interval > 0 and program.num_moves > 0:
             # A pause runs between the interval-th move and the next one
             # (matching quanta_after_moves), so a program ending exactly
             # on an interval boundary never pays for a pause it skipped.
             shuttle_time += (
                 (program.num_moves - 1) // interval
-            ) * self.params.tilt_cooling_time_us
-        gate_time = 0.0
-        for _, gates in program.gates_by_segment():
-            finish_at: dict[int, float] = {}
-            segment_end = 0.0
-            for gate in gates:
-                start = max((finish_at.get(q, 0.0) for q in gate.qubits),
-                            default=0.0)
-                end = start + gate_time_us(gate, self.params)
-                for qubit in gate.qubits:
-                    finish_at[qubit] = end
-                segment_end = max(segment_end, end)
-            gate_time += segment_end
-        return shuttle_time + gate_time
+            ) * params.tilt_cooling_time_us
+        return timeline.finish(
+            circuit.num_qubits,
+            architecture=f"TILT head {self.device.head_size}",
+            circuit_name=name,
+            execution_time_us=shuttle_time + gate_time,
+            num_gates=circuit.num_gates(),
+            num_two_qubit_gates=circuit.num_two_qubit_gates(),
+            num_moves=program.num_moves,
+            move_distance_um=program.move_distance_um,
+            extras={
+                "final_quanta": quanta_after_moves(
+                    program.num_moves, chain_length, params
+                ),
+                "num_segments": float(len(program.segments)),
+            },
+        )

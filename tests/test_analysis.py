@@ -1,7 +1,12 @@
 """Tests for the experiment drivers and report generation (small scale)."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.analysis
 from repro.analysis import experiments
 from repro.analysis.report import (
     figure6_report,
@@ -127,3 +132,28 @@ class TestTables:
     def test_format_records_column_selection(self):
         text = format_records([{"a": 1, "b": 2}], columns=["b"])
         assert "b" in text and "a" not in text.splitlines()[0]
+
+
+class TestCommandLineEntryPoints:
+    @pytest.mark.parametrize("module", ["repro.analysis.report",
+                                        "repro.analysis.search_study"])
+    def test_runs_without_runpy_warning(self, module):
+        """``repro.analysis`` must not import its CLI modules eagerly:
+        runpy warns when ``python -m`` finds the module it is about to
+        run already in ``sys.modules``."""
+        src = Path(__file__).parent.parent / "src"
+        completed = subprocess.run(
+            (sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+             "--help"),
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "RuntimeWarning" not in completed.stderr
+
+    def test_cli_names_stay_reexported(self):
+        for name in repro.analysis.__all__:
+            assert getattr(repro.analysis, name) is not None
+        assert repro.analysis.full_report.__module__ == "repro.analysis.report"
+        with pytest.raises(AttributeError):
+            repro.analysis.no_such_name

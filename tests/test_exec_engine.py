@@ -239,6 +239,23 @@ class TestExecutionEngine:
         assert result.stats is None
         assert result.simulation.num_moves > 0
 
+    def test_simulate_false_compiles_only_where_there_is_a_compile_stage(
+            self):
+        """QCCD stops after compiling; the ideal backend has no compile
+        stage, so it ignores ``simulate`` and still simulates."""
+        qccd = ExecutionEngine(workers=1).run_one(JobSpec(
+            circuit=qft_workload(12),
+            device=QccdDevice(num_qubits=12, trap_capacity=5),
+            backend="qccd", simulate=False,
+        ))
+        assert qccd.simulation is None
+        ideal = ExecutionEngine(workers=1).run_one(JobSpec(
+            circuit=bv_workload(8),
+            device=IdealTrappedIonDevice(num_qubits=8),
+            backend="ideal", simulate=False,
+        ))
+        assert ideal.simulation.architecture == "Ideal TI"
+
     def test_stats_reset_zeroes_counters_but_keeps_cache(self):
         engine = ExecutionEngine(workers=1)
         engine.run([_tilt_spec(7), _tilt_spec(6)])

@@ -107,6 +107,21 @@ class TestRepoGraph:
                                         "repro.devtools."))
                        for node in reach)
 
+    def test_dispatch_table_keeps_compilers_worker_reachable(
+            self, repo_graph):
+        """execute_spec picks each architecture's compile step and
+        simulator from a module-level table; the graph must still see
+        the compilers and every timeline builder behind it."""
+        reach = repo_graph.worker_reachable
+        for node in ("repro.compiler.pipeline.LinQCompiler.compile",
+                     "repro.compiler.qccd_compiler.QccdCompiler.compile"):
+            assert node in reach
+        for simulator in ("tilt_sim.TiltSimulator", "qccd_sim.QccdSimulator",
+                          "ideal_sim.IdealSimulator"):
+            for method in ("run", "run_stochastic", "build_sampler",
+                           "_timeline"):
+                assert f"repro.sim.{simulator}.{method}" in reach
+
     def test_module_body_not_a_worker_root(self, repo_graph):
         """Import-time code is the sanctioned registration channel —
         it must never be pulled into the worker-reachable set."""
@@ -187,6 +202,48 @@ class TestSyntheticGraphs:
         assert "repro.exec.backends.execute_spec" in edges
         assert ("repro.exec.backends.execute_spec"
                 in graph.worker_reachable)
+
+    def test_call_edges_through_module_level_table(self, tmp_path):
+        worker = _write(
+            tmp_path, "w.py",
+            "# repro-lint: treat-as=src/repro/exec/backends.py\n"
+            "def _compile_a(spec):\n"
+            "    return spec\n"
+            "def _compile_b(spec):\n"
+            "    return spec\n"
+            "_TABLE = {'a': (_compile_a, 1), 'b': (_compile_b, 2)}\n"
+            "_LABELS = ('a', 'b')\n"
+            "def execute_spec(spec, key):\n"
+            "    step, _ = _TABLE[spec]\n"
+            "    return step(spec), _LABELS\n",
+        )
+        graph = graph_of([worker], root=tmp_path)
+        assert graph.call_edges["repro.exec.backends.execute_spec"] == (
+            "repro.exec.backends._compile_a",
+            "repro.exec.backends._compile_b",
+        )
+
+    def test_union_annotation_resolves_every_member(self, tmp_path):
+        worker = _write(
+            tmp_path, "w.py",
+            "# repro-lint: treat-as=src/repro/exec/backends.py\n"
+            "class A:\n"
+            "    def run(self):\n"
+            "        return 1\n"
+            "class B:\n"
+            "    def run(self):\n"
+            "        return 2\n"
+            "class Engine:\n"
+            "    def run(self):\n"
+            "        return 3\n"
+            "def execute_spec(spec, key):\n"
+            "    simulator: A | B | None = spec\n"
+            "    return simulator.run()\n",
+        )
+        graph = graph_of([worker], root=tmp_path)
+        assert graph.call_edges["repro.exec.backends.execute_spec"] == (
+            "repro.exec.backends.A.run", "repro.exec.backends.B.run",
+        )
 
     def test_cross_module_call_resolution(self, tmp_path):
         physics = _write(

@@ -1,9 +1,11 @@
 """Tests for the QCCD compiler and simulator."""
 
+import numpy as np
 import pytest
 
 from repro.arch.qccd import QccdDevice
-from repro.circuits.circuit import Circuit
+from repro.circuits.circuit import Circuit, circuit_from_gates
+from repro.compiler.decompose import lower_to_native
 from repro.compiler.qccd_compiler import (
     QccdCompiler,
     QccdGateEvent,
@@ -13,6 +15,8 @@ from repro.compiler.qccd_compiler import (
 from repro.exceptions import CompilationError
 from repro.noise.parameters import NoiseParameters
 from repro.sim.qccd_sim import QccdSimulator
+from repro.sim.statevector import states_equal_up_to_global_phase
+from repro.workloads.bv import bv_workload
 from repro.workloads.qaoa import qaoa_workload
 from repro.workloads.qft import qft_workload
 
@@ -80,6 +84,29 @@ class TestQccdCompiler:
     def test_summary(self, qccd16):
         program = compile_for_qccd(qaoa_workload(16, rounds=1), qccd16)
         assert "transports" in program.summary()
+
+
+class TestQccdSemantics:
+    @pytest.mark.parametrize("workload", [bv_workload, qft_workload])
+    def test_gate_events_preserve_semantics(self, workload, statevector):
+        """The executed gate-event sequence is the lowered logical
+        circuit: transports move ions between traps but never change
+        which ion a gate acts on, so on any input state both circuits
+        produce the same output state (up to global phase)."""
+        device = QccdDevice(num_qubits=8, trap_capacity=3)
+        logical = workload(8)
+        program = QccdCompiler(device).compile(logical)
+        assert program.num_shuttles > 0  # traps of 3 force transports
+        executed = circuit_from_gates(
+            8, [event.gate for event in program.gate_events]
+        )
+        rng = np.random.default_rng(2021)
+        state = rng.normal(size=256) + 1j * rng.normal(size=256)
+        state /= np.linalg.norm(state)
+        assert states_equal_up_to_global_phase(
+            statevector.run(executed, state),
+            statevector.run(lower_to_native(logical), state),
+        )
 
 
 class TestQccdSimulator:
